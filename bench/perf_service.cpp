@@ -1,5 +1,5 @@
 // Service throughput bench: solves a generated multi-regime batch through
-// SchedulingService at several pool sizes, then measures the cache-hit
+// stream::solveBatch at several worker counts, then measures the cache-hit
 // speedup of a warm re-run. Emits both a human summary and the
 // machine-readable BENCH_service.json tracking the perf trajectory:
 //
@@ -15,23 +15,15 @@
 //                         "novel":...,"merged":...,"skipped":...,"dropped":...},...]},
 //    "warm_sweep":{"requests":...,"narrow_points":P,"wide_points":2P-1,
 //      "cold_seconds":...,"warm_seconds":...,"speedup":...,
-//      "sub_hits":...,"sub_units_reused":...},
-//    "net_serve":{"posts":R,"lines_per_post":K,"solves":R*K,
-//      "http_requests_per_second":...,"inprocess_requests_per_second":...,
-//      "http_over_inprocess":...,
-//      "stats_scrape_mean_us":...,"stats_scrape_max_us":...,"shed":0}}
+//      "sub_hits":...,"sub_units_reused":...}}
+//
+// "threads" is the scheduler's worker count (--threads LIST). The serving
+// path end to end (HTTP clients against serve --listen) is measured by
+// perfbench/, not here.
 //
 // The portfolio_members section races the full member catalog (refiners +
 // c2c + exact) with budget-aware dropping on a slice of the batch and
 // reports each member's per-member contribution columns.
-//
-// The net_serve section races the network transport against in-process
-// scheduling on identical work: an in-process HttpServer + the serve
-// endpoints on a loopback ephemeral port, a keep-alive client POSTing R
-// bodies of K JSONL solve lines each, versus the same parsed requests
-// pushed straight into an equally-configured AsyncScheduler. It also
-// scrapes GET /stats once per POST while solves are in flight and reports
-// the scrape round-trip latency — the cost of observing a busy server.
 //
 // The warm_sweep section measures cross-request work sharing: the same
 // instances swept at P points, then at 2P-1 points over the same range —
@@ -45,27 +37,17 @@
 //                     [--members-requests N] [--drop-after K]
 //                     [--warm-requests N] [--output FILE]
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pipesched/io/json.hpp"
-#include "pipesched/net/endpoints.hpp"
-#include "pipesched/net/server.hpp"
-#include "pipesched/net/socket.hpp"
 #include "pipesched/obs/metrics.hpp"
 #include "pipesched/obs/trace.hpp"
-#include "pipesched/service/service.hpp"
-#include "pipesched/stream/async_scheduler.hpp"
-#include "pipesched/stream/source.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace {
@@ -102,214 +84,20 @@ struct ThroughputSample {
   double wallSeconds = 0;
 };
 
-// -- net_serve helpers -------------------------------------------------------
-
-/// Minimal blocking HTTP/1.1 client response reader (status + Content-Length
-/// body) over a connectTcp socket — just enough to drive the bench's POST
-/// /solve and GET /stats round trips without pulling in a client library.
-struct NetResponse {
-  int status = 0;
-  std::string body;
-};
-
-NetResponse readNetResponse(net::Socket& socket) {
-  std::string data;
-  char buffer[8192];
-  std::size_t headerEnd = std::string::npos;
-  while ((headerEnd = data.find("\r\n\r\n")) == std::string::npos) {
-    const net::IoResult r = socket.read(buffer, sizeof buffer);
-    if (r.bytes == 0) throw std::runtime_error("net_serve: connection closed mid-headers");
-    data.append(buffer, r.bytes);
-  }
-  NetResponse response;
-  response.status = std::stoi(data.substr(data.find(' ') + 1, 3));
-  std::size_t contentLength = 0;
-  const std::string headers = data.substr(0, headerEnd);
-  std::string lower = headers;
-  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (const std::size_t at = lower.find("content-length:"); at != std::string::npos) {
-    contentLength = std::stoul(lower.substr(at + 15));
-  }
-  response.body = data.substr(headerEnd + 4);
-  while (response.body.size() < contentLength) {
-    const net::IoResult r = socket.read(buffer, sizeof buffer);
-    if (r.bytes == 0) throw std::runtime_error("net_serve: connection closed mid-body");
-    response.body.append(buffer, r.bytes);
-  }
-  response.body.resize(contentLength);
-  return response;
-}
-
-NetResponse roundTrip(net::Socket& socket, const std::string& method,
-                      const std::string& target, const std::string& body) {
-  std::string request = method + " " + target + " HTTP/1.1\r\nHost: bench\r\n";
-  if (!body.empty() || method == "POST") {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += "\r\n" + body;
-  socket.writeAll(request.data(), request.size());
-  return readNetResponse(socket);
-}
-
-struct NetServeSample {
-  std::size_t posts = 0;
-  std::size_t linesPerPost = 0;
-  std::size_t solves = 0;
-  double httpRequestsPerSecond = 0;
-  double inprocessRequestsPerSecond = 0;
-  double httpOverInprocess = 0;
-  double statsScrapeMeanUs = 0;
-  double statsScrapeMaxUs = 0;
-  std::uint64_t shed = 0;
-};
-
-/// One JSONL solve line per (post, slot) pair — seeds never repeat, so no
-/// pass gets accidental cache traffic.
-std::string solveBody(std::size_t post, std::size_t lines, std::size_t stages,
-                      std::size_t processors, std::size_t points) {
-  std::ostringstream body;
-  const char* kinds[] = {"E1", "E2", "E3", "E4"};
-  for (std::size_t i = 0; i < lines; ++i) {
-    body << "{\"kind\":\"" << kinds[i % 4] << "\",\"stages\":" << stages
-         << ",\"processors\":" << processors << ",\"points\":" << points
-         << ",\"seed\":" << (1000 + post * lines + i) << "}\n";
-  }
-  return std::move(body).str();
-}
-
-NetServeSample netServeRun(std::size_t posts, std::size_t linesPerPost, std::size_t stages,
-                           std::size_t processors, std::size_t points,
-                           std::size_t workers) {
-  NetServeSample sample;
-  sample.posts = posts;
-  sample.linesPerPost = linesPerPost;
-  sample.solves = posts * linesPerPost;
-
-  std::vector<std::string> bodies;
-  for (std::size_t post = 0; post < posts; ++post) {
-    bodies.push_back(solveBody(post, linesPerPost, stages, processors, points));
-  }
-
-  // HTTP pass: loopback server, one keep-alive connection POSTing each body,
-  // plus one /stats scrape per POST from a second connection while the
-  // solves are in flight.
-  {
-    stream::StreamConfig config;
-    config.workers = workers;
-    config.queueCapacity = std::max<std::size_t>(64, linesPerPost * 2);
-    stream::AsyncScheduler scheduler(config);
-    net::HttpServerConfig serverConfig;
-    serverConfig.endpoint = net::Endpoint{"127.0.0.1", 0};
-    net::HttpServer server(serverConfig);
-    net::ServeEndpointsConfig endpoints;
-    endpoints.statsSnapshot = [] { return std::string("{\"type\":\"stats\"}"); };
-    endpoints.draining = [&server] { return server.draining(); };
-    endpoints.uptimeSeconds = [] { return 0.0; };
-    net::installServeEndpoints(server, scheduler, endpoints);
-    server.bind();
-    std::thread loop([&server] { server.run(); });
-
-    net::Socket solveConn = net::connectTcp(server.local());
-    net::Socket statsConn = net::connectTcp(server.local());
-
-    double scrapeTotalUs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t post = 0; post < posts; ++post) {
-      // Fire the POST, scrape /stats while its solves run, then collect the
-      // POST response off the keep-alive connection.
-      const std::string request = "POST /solve HTTP/1.1\r\nHost: bench\r\nContent-Length: " +
-                                  std::to_string(bodies[post].size()) + "\r\n\r\n" +
-                                  bodies[post];
-      solveConn.writeAll(request.data(), request.size());
-
-      const auto scrapeStart = std::chrono::steady_clock::now();
-      const NetResponse stats = roundTrip(statsConn, "GET", "/stats", "");
-      const double scrapeUs = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - scrapeStart)
-                                  .count();
-      scrapeTotalUs += scrapeUs;
-      sample.statsScrapeMaxUs = std::max(sample.statsScrapeMaxUs, scrapeUs);
-      if (stats.status != 200) throw std::runtime_error("net_serve: /stats failed");
-
-      const NetResponse response = readNetResponse(solveConn);
-      if (response.status != 200) {
-        throw std::runtime_error("net_serve: POST /solve answered " +
-                                 std::to_string(response.status));
-      }
-      std::size_t ok = 0;
-      for (std::size_t at = response.body.find("\"ok\":true"); at != std::string::npos;
-           at = response.body.find("\"ok\":true", at + 1)) {
-        ++ok;
-      }
-      if (ok != linesPerPost) {
-        throw std::runtime_error("net_serve: expected " + std::to_string(linesPerPost) +
-                                 " ok outcomes, got " + std::to_string(ok));
-      }
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    sample.httpRequestsPerSecond = wall > 0 ? static_cast<double>(sample.solves) / wall : 0;
-    sample.statsScrapeMeanUs = posts > 0 ? scrapeTotalUs / static_cast<double>(posts) : 0;
-    sample.shed = server.stats().shed;
-
-    server.requestStop();
-    loop.join();
-    scheduler.close();
-  }
-
-  // In-process reference: the same lines parsed the same way, submitted
-  // straight into an identically-configured scheduler — the transport-free
-  // ceiling for the HTTP number.
-  {
-    stream::StreamConfig config;
-    config.workers = workers;
-    config.queueCapacity = std::max<std::size_t>(64, linesPerPost * 2);
-    stream::AsyncScheduler scheduler(config);
-
-    std::vector<service::Request> requests;
-    for (const std::string& body : bodies) {
-      auto in = std::make_unique<std::istringstream>(body);
-      stream::JsonlSource source(std::move(in), stream::JsonlDefaults{});
-      while (std::optional<service::Request> request = source.next()) {
-        requests.push_back(std::move(*request));
-      }
-    }
-    if (requests.size() != sample.solves) {
-      throw std::runtime_error("net_serve: reference parse mismatch");
-    }
-
-    std::atomic<std::size_t> done{0};
-    const auto start = std::chrono::steady_clock::now();
-    for (service::Request& request : requests) {
-      scheduler.submit(std::move(request),
-                       [&done](const service::Request&, const service::RequestOutcome&) {
-                         done.fetch_add(1);
-                       });
-    }
-    scheduler.drain();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (done.load() != sample.solves) {
-      throw std::runtime_error("net_serve: reference drain incomplete");
-    }
-    sample.inprocessRequestsPerSecond =
-        wall > 0 ? static_cast<double>(sample.solves) / wall : 0;
-    scheduler.close();
-  }
-
-  sample.httpOverInprocess = sample.inprocessRequestsPerSecond > 0
-                                 ? sample.httpRequestsPerSecond /
-                                       sample.inprocessRequestsPerSecond
-                                 : 1.0;
-  return sample;
+/// A scheduler with `workers` workers over the given service config.
+stream::StreamConfig schedulerConfig(std::size_t workers,
+                                     const service::ServiceConfig& serviceConfig) {
+  stream::StreamConfig config;
+  config.workers = workers;
+  config.service = serviceConfig;
+  return config;
 }
 
 ThroughputSample coldRun(const std::vector<service::Request>& batch, std::size_t threads) {
-  service::ServiceConfig config;
-  config.threads = threads;
-  config.cacheCapacity = 0;  // cold: measure pure solver throughput
-  service::SchedulingService svc(config);
-  const service::BatchResult result = svc.solveBatch(batch);
+  service::ServiceConfig coldConfig;
+  coldConfig.cacheCapacity = 0;  // cold: measure pure solver throughput
+  stream::AsyncScheduler scheduler(schedulerConfig(threads, coldConfig));
+  const stream::BatchResult result = stream::solveBatch(scheduler, batch);
   if (result.stats.failed != 0) {
     throw std::runtime_error("perf_service: " + std::to_string(result.stats.failed) +
                              " request(s) failed");
@@ -390,15 +178,15 @@ int main(int argc, char** argv) {
   std::cout << "  speedup " << samples.back().threads << "t vs " << samples.front().threads
             << "t: " << speedup << "x\n";
 
-  // Cache-hit speedup: same service, same batch twice; the second pass is
-  // pure cache traffic.
+  // Cache-hit speedup: same scheduler, same batch twice; the second pass is
+  // pure cache traffic. Inline (0 workers): a hit costs microseconds, so a
+  // worker hand-off per hit would measure thread wake-ups, not the service.
   service::ServiceConfig warmConfig;
-  warmConfig.threads = samples.back().threads;
   warmConfig.cacheCapacity = requests * 2;
-  service::SchedulingService warmSvc(warmConfig);
-  const service::BatchResult coldPass = warmSvc.solveBatch(batch);
-  const service::BatchResult warmPass = warmSvc.solveBatch(batch);
-  const service::CacheStats cacheStats = warmSvc.cacheStats();
+  stream::AsyncScheduler warmScheduler(schedulerConfig(0, warmConfig));
+  const stream::BatchResult coldPass = stream::solveBatch(warmScheduler, batch);
+  const stream::BatchResult warmPass = stream::solveBatch(warmScheduler, batch);
+  const service::CacheStats cacheStats = warmScheduler.cacheStats();
   const double warmSpeedup = coldPass.stats.wallSeconds > 0 && warmPass.stats.wallSeconds > 0
                                  ? coldPass.stats.wallSeconds / warmPass.stats.wallSeconds
                                  : 1.0;
@@ -419,7 +207,8 @@ int main(int argc, char** argv) {
     obs::ScopedTracingEnabled tracingScope(enabled);
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      best = std::max(best, warmSvc.solveBatch(batch).stats.requestsPerSecond);
+      best = std::max(best,
+                      stream::solveBatch(warmScheduler, batch).stats.requestsPerSecond);
     }
     return best;
   };
@@ -433,18 +222,17 @@ int main(int argc, char** argv) {
   // Widened-portfolio contribution pass: the full member catalog with
   // budget-aware dropping on a slice of the batch, reported member by member.
   service::ServiceConfig wideConfig;
-  wideConfig.threads = 1;
   wideConfig.cacheCapacity = 0;
   wideConfig.portfolio.members = service::allPortfolioMembers();
   wideConfig.portfolio.dropAfter = dropAfter;
-  service::SchedulingService wideSvc(wideConfig);
+  stream::AsyncScheduler wideScheduler(schedulerConfig(1, wideConfig));
   const std::vector<service::Request> wideBatch(
       batch.begin(),
       batch.begin() + static_cast<std::ptrdiff_t>(std::min(membersRequests, batch.size())));
-  const service::BatchResult widePass = wideSvc.solveBatch(wideBatch);
+  const stream::BatchResult widePass = stream::solveBatch(wideScheduler, wideBatch);
   std::cout << "  members=all (" << wideBatch.size() << " requests, drop-after " << dropAfter
             << "): " << widePass.stats.requestsPerSecond << " req/s\n";
-  for (const service::MemberBatchStats& m : widePass.stats.members) {
+  for (const stream::MemberBatchStats& m : widePass.stats.members) {
     std::cout << "    " << m.solver << ": " << m.points << " pts, " << m.merged << " merged, "
               << m.skipped << " skipped\n";
   }
@@ -463,17 +251,17 @@ int main(int argc, char** argv) {
   for (service::Request& r : wideBatch2) r.sweep = service::SweepSpec{widePoints, 3};
 
   service::ServiceConfig coldSweepConfig;
-  coldSweepConfig.threads = 1;
   coldSweepConfig.cacheCapacity = 0;
   coldSweepConfig.shareSubResults = false;
-  service::SchedulingService coldSweepSvc(coldSweepConfig);
-  const service::BatchResult coldWide = coldSweepSvc.solveBatch(wideBatch2);
+  stream::AsyncScheduler coldSweepScheduler(schedulerConfig(1, coldSweepConfig));
+  const stream::BatchResult coldWide = stream::solveBatch(coldSweepScheduler, wideBatch2);
 
   service::ServiceConfig warmSweepConfig = coldSweepConfig;
   warmSweepConfig.shareSubResults = true;
-  service::SchedulingService warmSweepSvc(warmSweepConfig);
-  (void)warmSweepSvc.solveBatch(narrowBatch);  // populate the sub-result cache
-  const service::BatchResult warmWide = warmSweepSvc.solveBatch(wideBatch2);
+  stream::AsyncScheduler warmSweepScheduler(schedulerConfig(1, warmSweepConfig));
+  // Populate the sub-result cache.
+  (void)stream::solveBatch(warmSweepScheduler, narrowBatch);
+  const stream::BatchResult warmWide = stream::solveBatch(warmSweepScheduler, wideBatch2);
   const double warmSweepSpeedup =
       coldWide.stats.wallSeconds > 0 && warmWide.stats.wallSeconds > 0
           ? coldWide.stats.wallSeconds / warmWide.stats.wallSeconds
@@ -482,19 +270,6 @@ int main(int argc, char** argv) {
             << " -> " << widePoints << " points): cold " << coldWide.stats.wallSeconds
             << " s, warm " << warmWide.stats.wallSeconds << " s, speedup " << warmSweepSpeedup
             << "x (" << warmWide.stats.subUnitsReused << " unit(s) reused)\n";
-
-  // Network transport pass: loopback HTTP /solve vs in-process submission on
-  // identical work, with /stats scraped under load. Sized well below the
-  // cold batch so the whole section stays a small slice of bench wall time.
-  const NetServeSample netServe =
-      netServeRun(/*posts=*/6, /*linesPerPost=*/8, std::max<std::size_t>(stages / 2, 4),
-                  processors, points, samples.back().threads);
-  std::cout << "  net serve (" << netServe.posts << " posts x " << netServe.linesPerPost
-            << " lines): http " << netServe.httpRequestsPerSecond << " req/s vs in-process "
-            << netServe.inprocessRequestsPerSecond << " req/s (ratio "
-            << netServe.httpOverInprocess << "), /stats scrape mean "
-            << netServe.statsScrapeMeanUs << " us / max " << netServe.statsScrapeMaxUs
-            << " us, " << netServe.shed << " shed\n";
 
   std::ofstream os(output);
   if (!os) {
@@ -535,7 +310,7 @@ int main(int argc, char** argv) {
   w.kv("requests", wideBatch.size());
   w.kv("requests_per_second", widePass.stats.requestsPerSecond);
   w.key("members_detail").beginArray();
-  for (const service::MemberBatchStats& m : widePass.stats.members) {
+  for (const stream::MemberBatchStats& m : widePass.stats.members) {
     w.beginObject();
     w.kv("member", m.solver);
     w.kv("runs", static_cast<std::size_t>(m.runs));
@@ -557,17 +332,6 @@ int main(int argc, char** argv) {
   w.kv("speedup", warmSweepSpeedup);
   w.kv("sub_hits", static_cast<std::size_t>(warmWide.stats.subHits));
   w.kv("sub_units_reused", static_cast<std::size_t>(warmWide.stats.subUnitsReused));
-  w.endObject();
-  w.key("net_serve").beginObject();
-  w.kv("posts", netServe.posts);
-  w.kv("lines_per_post", netServe.linesPerPost);
-  w.kv("solves", netServe.solves);
-  w.kv("http_requests_per_second", netServe.httpRequestsPerSecond);
-  w.kv("inprocess_requests_per_second", netServe.inprocessRequestsPerSecond);
-  w.kv("http_over_inprocess", netServe.httpOverInprocess);
-  w.kv("stats_scrape_mean_us", netServe.statsScrapeMeanUs);
-  w.kv("stats_scrape_max_us", netServe.statsScrapeMaxUs);
-  w.kv("shed", static_cast<std::size_t>(netServe.shed));
   w.endObject();
   w.endObject();
   os << "\n";

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 #include "pipesched/workload/scenarios.hpp"
 
@@ -30,14 +31,14 @@ int main() {
                                         name.str()});
   }
 
-  service::ServiceConfig config;
-  config.threads = service::ThreadPool::defaultThreadCount();
-  service::SchedulingService svc(config);
+  stream::StreamConfig config;
+  config.workers = stream::defaultWorkerCount();
+  stream::AsyncScheduler scheduler(config);
 
-  const service::BatchResult batch = svc.solveBatch(requests);
+  const stream::BatchResult batch = stream::solveBatch(scheduler, requests);
   std::cout << "solved " << batch.stats.requests << " requests in " << batch.stats.wallSeconds
-            << " s (" << batch.stats.requestsPerSecond << " req/s, " << config.threads
-            << " threads)\n\n";
+            << " s (" << batch.stats.requestsPerSecond << " req/s, " << config.workers
+            << " workers)\n\n";
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const service::RequestOutcome& outcome = batch.outcomes[i];
     std::cout << requests[i].name << " [" << service::fingerprint(requests[i]).hex().substr(0, 12)
@@ -57,24 +58,24 @@ int main() {
   }
 
   // Re-submit the same batch: every request is a cache hit.
-  const service::BatchResult again = svc.solveBatch(requests);
+  const stream::BatchResult again = stream::solveBatch(scheduler, requests);
   std::cout << "\nrepeat: " << again.stats.cacheHits << " cache hit(s) + "
             << again.stats.deduped << " dedup(s) of " << again.stats.requests
             << " requests in " << again.stats.wallSeconds << " s\n";
-  const service::CacheStats cache = svc.cacheStats();
+  const service::CacheStats cache = scheduler.cacheStats();
   std::cout << "cache: " << cache.entries << " entries, hit ratio " << cache.hitRatio() << "\n";
 
   // Widen the race: every catalog member (H1..H6, local-search and annealing
   // refiners, the c2c chain solvers, exact) with budget-aware dropping, and
   // show what each member contributed to the merged fronts.
-  service::ServiceConfig wideConfig;
-  wideConfig.cacheCapacity = 0;  // fresh solves: we want contribution stats
-  wideConfig.portfolio.members = service::allPortfolioMembers();
-  wideConfig.portfolio.dropAfter = 4;
-  service::SchedulingService wideSvc(wideConfig);
-  const service::BatchResult wide = wideSvc.solveBatch(requests);
+  stream::StreamConfig wideConfig = config;
+  wideConfig.service.cacheCapacity = 0;  // fresh solves: we want contribution stats
+  wideConfig.service.portfolio.members = service::allPortfolioMembers();
+  wideConfig.service.portfolio.dropAfter = 4;
+  stream::AsyncScheduler wideScheduler(wideConfig);
+  const stream::BatchResult wide = stream::solveBatch(wideScheduler, requests);
   std::cout << "\nwidened portfolio (members=all, drop-after 4):\n";
-  for (const service::MemberBatchStats& m : wide.stats.members) {
+  for (const stream::MemberBatchStats& m : wide.stats.members) {
     std::cout << "  " << m.solver << ": " << m.points << " point(s), " << m.novel
               << " novel, " << m.merged << " on the merged front, " << m.skipped
               << " unit(s) skipped\n";

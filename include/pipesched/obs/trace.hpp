@@ -44,8 +44,8 @@ Histogram& stageHistogram(Stage stage);
 /// Per-request latency breakdown, attached to RequestOutcome when tracing
 /// is on. Stage entries are disjoint slices of the request's wall time;
 /// `members` additionally breaks the kMemberSolve slice down per portfolio
-/// member (those overlap each other under a thread pool, so they are
-/// reported separately rather than as stages).
+/// member (sub-slices of that stage, so they are reported separately rather
+/// than as stages).
 struct RequestTrace {
   double totalSeconds = 0;
   std::array<double, kStageCount> stageSeconds{};

@@ -19,22 +19,21 @@
 //
 // Determinism contract (tested by tests/service/test_portfolio_properties):
 // the merged front is a pure function of the instance and the configuration,
-// independent of thread interleaving. Each member writes into its own
-// pre-assigned slot and the merge concatenates slots in fixed member order,
-// so racing the members on a pool cannot reorder the result. All budgets are
-// member-local — the work budget truncates every sweep at the same grid
-// point, and the *drop policy* (see PortfolioConfig::dropAfter) decides from
-// the member's own running front only, no matter who runs first. Only the
-// optional wall-clock budget (off by default) trades determinism for latency
-// bounds.
+// independent of thread interleaving. Members run serially in fixed order,
+// each writing into its own pre-assigned slot, and the merge concatenates
+// slots in that order. All budgets are member-local — the work budget
+// truncates every sweep at the same grid point, and the *drop policy* (see
+// PortfolioConfig::dropAfter) decides from the member's own running front
+// only. Only the optional wall-clock budget (off by default) trades
+// determinism for latency bounds.
 //
-// Thread-safety audit (relied on by the pool mode): the heuristics, the
-// refiners and the c2c solvers are stateless free functions (annealing is
-// deterministic from its explicit seed), member objects are created fresh
-// per runPortfolio call and touched by one task each, and
-// Evaluator/Pipeline/Platform are immutable after construction — no shared
-// mutable state anywhere on the solver path (verified over src/heuristics/,
-// src/exact/ and src/c2c/).
+// Thread-safety audit (relied on by the stream workers, which run one
+// runPortfolio call each, concurrently): the heuristics, the refiners and
+// the c2c solvers are stateless free functions (annealing is deterministic
+// from its explicit seed), member objects are created fresh per runPortfolio
+// call, and Evaluator/Pipeline/Platform are immutable after construction —
+// no shared mutable state on the solver path but the internally locked
+// sub-result cache (verified over src/heuristics/, src/exact/ and src/c2c/).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +46,6 @@
 #include "pipesched/heuristics/registry.hpp"
 #include "pipesched/service/request.hpp"
 #include "pipesched/service/result_cache.hpp"
-#include "pipesched/service/thread_pool.hpp"
 
 namespace pipesched::service {
 
@@ -111,10 +109,10 @@ struct PortfolioConfig {
 // Determinism guarantee (pinned by tests/service/test_subresult_share.cpp):
 // every memoized payload is a pure function of (instance, share key) under a
 // fixed PortfolioConfig, so sharing can only skip redundant work — fronts are
-// byte-identical with sharing on or off, serial or pooled. The store must not
-// be shared across services with different portfolio configs (the keys embed
-// only the config knobs a unit's output depends on: annealing moves, the
-// exact mapping limit). Scope: the guarantee presumes a deterministic run to
+// byte-identical with sharing on or off, whatever the worker count. The store
+// must not be shared across services with different portfolio configs (the
+// keys embed only the config knobs a unit's output depends on: annealing
+// moves, the exact mapping limit). Scope: the guarantee presumes a deterministic run to
 // begin with — a wall-clock budget (PortfolioBudget::timeBudgetMs > 0, off by
 // default and already documented as non-reproducible) cuts sweeps by timing,
 // which sharing changes.
@@ -249,14 +247,11 @@ struct PortfolioMemberInfo {
 [[nodiscard]] std::vector<std::unique_ptr<PortfolioMember>> makePortfolioMembers(
     const PortfolioConfig& config);
 
-/// Runs the portfolio on one instance. With `pool`, members race on its
-/// workers (the call still blocks until all complete — do not invoke with a
-/// pool from inside one of that pool's own tasks); without, they run serially
-/// in member order. With `share`, work units are memoized/reused through the
-/// sub-result cache (see SubShare above — results are byte-identical with or
-/// without it). Both paths return identical results (see determinism
-/// contract above). Throws ModelError on an invalid sweep spec or an unknown
-/// member id.
+/// Runs the portfolio on one instance: members run serially in member order,
+/// then their fronts merge. With `share`, work units are memoized/reused
+/// through the sub-result cache (see SubShare above — results are
+/// byte-identical with or without it). Throws ModelError on an invalid sweep
+/// spec or an unknown member id.
 ///
 /// `requestDeadline` (inactive by default) is the caller's absolute
 /// completion deadline: the runner takes the earlier of it and the
@@ -267,7 +262,6 @@ struct PortfolioMemberInfo {
 /// same way: its partial points merge, the result is flagged degraded.
 [[nodiscard]] PortfolioResult runPortfolio(const core::Evaluator& eval, const SweepSpec& sweep,
                                            const PortfolioConfig& config = {},
-                                           ThreadPool* pool = nullptr,
                                            const SubShare* share = nullptr,
                                            const Deadline& requestDeadline = {});
 

@@ -2,34 +2,25 @@
 // solvers and a deployable, traffic-serving scheduler.
 //
 //   SchedulingService service(config);
-//   BatchResult out = service.solveBatch(requests);
+//   RequestOutcome out = service.solve(request);
 //
-// solve() answers one request — cache lookup, then a portfolio race across
-// the pool's workers. solveBatch() processes thousands of requests with
-// bounded parallelism (one pool task per *unique* request; within-request
-// solving stays serial inside its worker so a saturated pool cannot
-// deadlock), deduplicating identical requests via their fingerprint and
-// returning outcomes in input order — byte-identical to solving each request
-// serially, whatever the thread count.
+// solve() answers one request — result-cache lookup, then a serial portfolio
+// race over the request's threshold grid. It is safe to call from several
+// threads at once: stream::AsyncScheduler runs one solve per worker, and
+// stream::solveBatch() (stream/engine.hpp) drives whole batches through it.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "pipesched/service/fingerprint.hpp"
 #include "pipesched/service/portfolio.hpp"
 #include "pipesched/service/request.hpp"
 #include "pipesched/service/result_cache.hpp"
-#include "pipesched/service/thread_pool.hpp"
 
 namespace pipesched::service {
 
 struct ServiceConfig {
-  /// Pool size; 0 = run everything inline (the serial reference mode).
-  std::size_t threads = 0;
-
   /// Result-cache entries (0 disables caching) and shard count.
   std::size_t cacheCapacity = 1024;
   std::size_t cacheShards = 8;
@@ -51,96 +42,25 @@ struct ServiceConfig {
   PortfolioConfig portfolio;
 };
 
-/// Per-member contribution totals over the fresh solves of one batch (cache
-/// hits and dedupe copies excluded — they repeat a prior solve's numbers).
-/// Rows appear in first-seen member order, which is deterministic: outcomes
-/// are aggregated in input order and members race in fixed catalog order.
-struct MemberBatchStats {
-  std::string solver;         ///< SolverContribution::solver
-  std::uint64_t runs = 0;     ///< fresh solves this member took part in
-  std::uint64_t points = 0;   ///< feasible points produced before merging
-  std::uint64_t novel = 0;    ///< points that joined the member's own front
-  std::uint64_t merged = 0;   ///< merged-front points credited to the member
-  std::uint64_t skipped = 0;  ///< work units skipped by budget-aware dropping
-  std::uint64_t dropped = 0;  ///< runs on which the drop policy fired
-  std::uint64_t reused = 0;   ///< whole units served from the sub-result cache
-  std::uint64_t seeded = 0;   ///< units warm-started from cached seed payloads
-
-  /// Folds one solve's contribution into this row (counts one run).
-  void add(const SolverContribution& c) {
-    runs += 1;
-    points += c.points;
-    novel += c.novel;
-    merged += c.merged;
-    skipped += c.skipped;
-    dropped += c.dropped ? 1 : 0;
-    reused += c.reused;
-    seeded += c.seeded;
-  }
-
-  /// Folds another row for the same member into this one.
-  void merge(const MemberBatchStats& other) {
-    runs += other.runs;
-    points += other.points;
-    novel += other.novel;
-    merged += other.merged;
-    skipped += other.skipped;
-    dropped += other.dropped;
-    reused += other.reused;
-    seeded += other.seeded;
-  }
-};
-
-/// Aggregate accounting of one solveBatch() call. Every request slot lands
-/// in exactly one of the four buckets below, so
-/// solved + cacheHits + deduped + failed == requests.
-struct BatchStats {
-  std::size_t requests = 0;
-  std::size_t solved = 0;      ///< portfolio ran and succeeded (unique misses)
-  std::size_t failed = 0;      ///< outcomes with ok == false (duplicates included)
-  std::size_t cacheHits = 0;   ///< served straight from the cache
-  std::size_t deduped = 0;     ///< shared an identical in-batch request's ok solve
-  double wallSeconds = 0;
-  double requestsPerSecond = 0;
-  /// Cross-request work sharing over the fresh solves: sub-result cache hits
-  /// (whole units + warm-start seeds) and the whole-unit subset. How much is
-  /// shared depends on cache state and, under a pool, timing — the *results*
-  /// never do.
-  std::uint64_t subHits = 0;
-  std::uint64_t subUnitsReused = 0;
-  std::vector<MemberBatchStats> members;  ///< per-member totals (fresh solves)
-};
-
-struct BatchResult {
-  std::vector<RequestOutcome> outcomes;  ///< same order as the input requests
-  BatchStats stats;
-};
-
 class SchedulingService {
  public:
   explicit SchedulingService(ServiceConfig config = {});
 
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
-  /// Solves one request: cache lookup, then a portfolio race on the pool.
+  /// Solves one request: cache lookup, then a serial portfolio race.
   /// Never throws on solver failure — the outcome carries the error text.
   [[nodiscard]] RequestOutcome solve(const Request& request);
 
   /// As above, with the caller's precomputed identity (must be
-  /// requestIdentity(request)) — spares the hot async path a second
-  /// canonicalization walk per request.
-  [[nodiscard]] RequestOutcome solve(const Request& request, const RequestIdentity& identity);
-
-  /// As above, continuing a caller-assembled per-request trace (the stream
-  /// worker pre-fills parse/queue-wait/fingerprint stages). The service adds
-  /// its own stages, folds its wall time into `trace->totalSeconds`, and
-  /// attaches the finished trace to the outcome. `trace` may be null.
+  /// requestIdentity(request) — spares the hot async path a second
+  /// canonicalization walk per request), continuing a caller-assembled
+  /// per-request trace (the stream worker pre-fills parse/queue-wait/
+  /// fingerprint stages). The service adds its own stages, folds its wall
+  /// time into `trace->totalSeconds`, and attaches the finished trace to the
+  /// outcome. `trace` may be null.
   [[nodiscard]] RequestOutcome solve(const Request& request, const RequestIdentity& identity,
                                      obs::RequestTrace* trace);
-
-  /// Batch entry point (see file comment for the parallelism/determinism
-  /// contract). Output ordering matches `requests`.
-  [[nodiscard]] BatchResult solveBatch(const std::vector<Request>& requests);
 
   [[nodiscard]] CacheStats cacheStats() const { return cache_.stats(); }
 
@@ -154,12 +74,11 @@ class SchedulingService {
   }
 
  private:
-  [[nodiscard]] RequestOutcome solveUncached(const Request& request, ThreadPool* pool);
+  [[nodiscard]] RequestOutcome solveUncached(const Request& request);
 
   ServiceConfig config_;
   ResultCache cache_;
   SubResultCache subCache_;
-  ThreadPool pool_;
 };
 
 /// Canonical text rendering of an outcome (hexfloat metrics + mappings) —

@@ -1,28 +1,25 @@
-// AsyncScheduler — the continuously-fed front of the portfolio service.
+// AsyncScheduler — the one execution engine of the portfolio service.
 //
-// Where service::SchedulingService::solveBatch is a barrier (load everything,
-// block, return), AsyncScheduler is a faucet: submit(Request) enqueues onto a
-// bounded channel and returns a std::future<RequestOutcome> immediately (or
-// invokes a completion callback); `workers` consumer threads drain the
-// channel, answer from the shared result cache, coalesce duplicates that are
-// in flight (at most maxCoalescedWaiters parked per key — duplicates past
-// the cap solve directly so an all-duplicates stream cannot buffer
-// unboundedly), and solve misses through the wrapped SchedulingService. A
-// full channel blocks submit() — backpressure, not unbounded buffering.
+// submit(Request) enqueues onto a bounded channel and returns a
+// std::future<RequestOutcome> immediately (or invokes a completion
+// callback); `workers` consumer threads drain the channel, answer from the
+// shared result cache, coalesce duplicates that are in flight (at most
+// maxCoalescedWaiters parked per key — duplicates past the cap solve
+// directly so an all-duplicates stream cannot buffer unboundedly), and solve
+// misses through the wrapped SchedulingService. A full channel blocks
+// submit() — backpressure, not unbounded buffering. serve, `batch --stream`
+// (runStream) and default-mode `batch` (solveBatch) all run on it.
 //
-// Determinism contract (the stream-vs-batch equivalence tests pin this):
-// each request's outcome is byte-identical under describeOutcome() to what
-// solveBatch() produces for the same request, whatever the worker count,
-// queue capacity, cache state, or arrival order — because every solve path
-// (fresh, cached, coalesced) funnels through the portfolio's deterministic
-// merge. Only the provenance flags (fromCache/deduped), which
-// describeOutcome() excludes, depend on timing.
+// Determinism contract (the stream equivalence tests pin this): each
+// request's outcome is byte-identical under describeOutcome() to a serial
+// per-request SchedulingService::solve of the same request, whatever the
+// worker count, queue capacity, cache state, or arrival order — because
+// every solve path (fresh, cached, coalesced) funnels through the
+// portfolio's deterministic merge. Only the provenance flags
+// (fromCache/deduped), which describeOutcome() excludes, depend on timing.
 //
-// Parallelism shape mirrors solveBatch: cross-request concurrency comes from
-// `workers`; within-request solving runs serially inside its worker (leave
-// config.service.threads at 0 — a nonzero value additionally races portfolio
-// members on the service's internal pool, which is safe but rarely useful
-// under multiple stream workers).
+// Parallelism shape: cross-request concurrency comes from `workers`; each
+// request's portfolio race runs serially inside its worker.
 //
 // Lifecycle: drain() blocks until everything submitted has completed;
 // close() additionally stops admission and joins the workers (pending work
@@ -47,9 +44,11 @@
 
 namespace pipesched::stream {
 
+/// Default worker count: one per hardware thread (at least one).
+[[nodiscard]] std::size_t defaultWorkerCount();
+
 struct StreamConfig {
   /// Configuration of the wrapped SchedulingService (cache, portfolio).
-  /// service.threads is the *within-request* pool; keep it 0 (see above).
   service::ServiceConfig service;
 
   /// Consumer threads draining the request channel. 0 = inline execution:

@@ -8,11 +8,11 @@
 // and then return nullopt. All operations are safe to call from any number
 // of threads concurrently.
 //
-// Distinct from runtime::BoundedQueue (the skeleton executor's inter-stage
-// token buffer): this channel is public streaming API — it never throws on
-// the close race (a server shutting down must not turn in-flight submits
-// into crashes), supports non-blocking try variants, and keeps the
-// occupancy/wait counters the stream benchmarks and tests observe.
+// It is the one bounded queue of the code base: the skeleton executor
+// (runtime::executeMapping) buffers its inter-stage tokens in it too. It
+// never throws on the close race (a server shutting down must not turn
+// in-flight submits into crashes), supports non-blocking try variants, and
+// keeps the occupancy/wait counters the stream benchmarks and tests observe.
 #pragma once
 
 #include <condition_variable>

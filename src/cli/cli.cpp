@@ -83,12 +83,13 @@ void writeToFileOr(const ArgList& args, const std::string& name, std::ostream& f
   }
 }
 
-service::ServiceConfig serviceConfigFromArgs(const ArgList& args) {
-  service::ServiceConfig config;
+stream::StreamConfig streamConfigFromArgs(const ArgList& args) {
+  stream::StreamConfig streamConfig;
   // Read --threads unconditionally so --serial --threads N is accepted (and
   // --serial wins), identically in every command using this helper.
-  config.threads = args.getSize("threads", service::ThreadPool::defaultThreadCount());
-  if (args.has("serial")) config.threads = 0;
+  streamConfig.workers = args.getSize("threads", stream::defaultWorkerCount());
+  if (args.has("serial")) streamConfig.workers = 0;
+  service::ServiceConfig& config = streamConfig.service;
   config.cacheCapacity = args.has("no-cache") ? 0 : args.getSize("cache-capacity", 1024);
   config.shareSubResults = parseOnOff(args, "share-subresults", true);
   config.portfolio.useExact = !args.has("no-exact");
@@ -98,7 +99,7 @@ service::ServiceConfig serviceConfigFromArgs(const ArgList& args) {
     config.portfolio.members = parsePortfolioMembers(*members);
   }
   config.portfolio.dropAfter = args.getSize("drop-after", 0);
-  return config;
+  return streamConfig;
 }
 
 std::vector<std::string> parsePortfolioMembers(const std::string& spec) {
@@ -136,7 +137,7 @@ std::string usageText() {
 usage: pipesched <command> [options]
 
 commands:
-  batch      portfolio-solve many instances on a thread pool with a result cache
+  batch      portfolio-solve many instances on worker threads with a result cache
              [FILE|DIR...] [--requests FILE.jsonl] [--scenarios]
              [--kind E1..E4 [--count N] [--stages N] [--processors P] [--seed S]]
              [--points N] [--range X] [--overlap]

@@ -12,6 +12,7 @@
 #include "pipesched/io/format.hpp"
 #include "pipesched/io/json.hpp"
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/async_scheduler.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::cli::detail {
@@ -44,10 +45,11 @@ void writeCacheStatsJson(io::JsonWriter& w, const service::CacheStats& stats);
 void writeToFileOr(const ArgList& args, const std::string& name, std::ostream& fallback,
                    const std::function<void(std::ostream&)>& body);
 
-/// The service knobs shared by `batch` and `serve` (one reader, so the two
-/// commands cannot drift): --threads/--serial, --cache-capacity/--no-cache,
-/// --no-exact, --budget, --time-budget.
-[[nodiscard]] service::ServiceConfig serviceConfigFromArgs(const ArgList& args);
+/// The scheduler knobs shared by `batch`, `stats` and `serve` (one reader,
+/// so the commands cannot drift): --threads/--serial (workers; --serial is
+/// 0, inline), --cache-capacity/--no-cache, --no-exact, --budget,
+/// --time-budget. The queue capacity stays the caller's.
+[[nodiscard]] stream::StreamConfig streamConfigFromArgs(const ArgList& args);
 
 /// "default" -> {} (the service default), "all" -> the full catalog, else a
 /// comma list of member ids. Validates against the registry: an unknown id

@@ -1,11 +1,12 @@
 // `batch` — the portfolio scheduling service on the command line: solve many
 // instances (files, directories, JSONL request files, named scenarios,
-// generated suites) through the shared thread pool + result cache.
+// generated suites) through the async scheduler's workers + result cache.
 //
-// Two execution shapes behind one set of sources:
-//   * default — solveBatch: requests drained from the lazy Source into one
-//     batch; table/JSON report with deterministic per-request fronts;
-//   * --stream — the async engine: requests stay lazy end to end, outcomes
+// Two output shapes over one engine and one set of sources:
+//   * default — stream::solveBatch: requests drained from the lazy Source
+//     into one batch, identical requests grouped, the rest run through the
+//     scheduler; table/JSON report with deterministic per-request fronts;
+//   * --stream — runStream directly: requests stay lazy end to end, outcomes
 //     emitted incrementally as JSONL (memory bounded by queue + workers, not
 //     by batch size).
 #include <algorithm>
@@ -79,7 +80,7 @@ std::vector<service::Request> drainSource(stream::Source& source) {
 }
 
 void printText(std::ostream& out, const std::vector<service::Request>& requests,
-               const service::BatchResult& batch, const service::CacheStats& cache,
+               const stream::BatchResult& batch, const service::CacheStats& cache,
                const service::CacheStats& sub) {
   exp::TextTable table;
   table.setHeader({"request", "fingerprint", "front", "min period", "min latency", "source"});
@@ -100,7 +101,7 @@ void printText(std::ostream& out, const std::vector<service::Request>& requests,
                   front.empty() ? "-" : exp::formatReal(front.back().latency, 3), source});
   }
   table.print(out);
-  const service::BatchStats& s = batch.stats;
+  const stream::BatchStats& s = batch.stats;
   out << "\n" << s.requests << " request(s): " << s.solved << " solved, " << s.cacheHits
       << " cache hit(s), " << s.deduped << " deduped, " << s.failed << " failed in "
       << exp::formatReal(s.wallSeconds, 3) << " s (" << exp::formatReal(s.requestsPerSecond, 1)
@@ -117,7 +118,7 @@ void printText(std::ostream& out, const std::vector<service::Request>& requests,
     members.setHeader(
         {"member", "runs", "points", "novel", "merged", "skipped", "dropped", "reused",
          "seeded"});
-    for (const service::MemberBatchStats& m : s.members) {
+    for (const stream::MemberBatchStats& m : s.members) {
       members.addRow({m.solver, std::to_string(m.runs), std::to_string(m.points),
                       std::to_string(m.novel), std::to_string(m.merged),
                       std::to_string(m.skipped), std::to_string(m.dropped),
@@ -128,7 +129,7 @@ void printText(std::ostream& out, const std::vector<service::Request>& requests,
 }
 
 void printJson(std::ostream& out, const std::vector<service::Request>& requests,
-               const service::BatchResult& batch, const service::CacheStats& cache,
+               const stream::BatchResult& batch, const service::CacheStats& cache,
                const service::CacheStats& sub) {
   io::JsonWriter w(out, /*pretty=*/true);
   w.beginObject();
@@ -151,7 +152,7 @@ void printJson(std::ostream& out, const std::vector<service::Request>& requests,
   w.kv("sub_hits", static_cast<std::size_t>(batch.stats.subHits));
   w.kv("sub_units_reused", static_cast<std::size_t>(batch.stats.subUnitsReused));
   w.key("members").beginArray();
-  for (const service::MemberBatchStats& m : batch.stats.members) {
+  for (const stream::MemberBatchStats& m : batch.stats.members) {
     w.beginObject();
     w.kv("member", m.solver);
     w.kv("runs", static_cast<std::size_t>(m.runs));
@@ -185,12 +186,8 @@ void printJson(std::ostream& out, const std::vector<service::Request>& requests,
 
 /// --stream: pump every pass through the async engine, emitting outcome
 /// JSONL incrementally, then one trailing {"stats": ...} line.
-int runStreamMode(const ArgList& args, std::ostream& out, std::size_t threads,
-                  std::size_t repeat, const service::ServiceConfig& serviceConfig) {
-  stream::StreamConfig config;
-  config.service = serviceConfig;
-  config.service.threads = 0;  // workers are the cross-request parallelism
-  config.workers = threads;
+int runStreamMode(const ArgList& args, std::ostream& out, std::size_t repeat,
+                  stream::StreamConfig config) {
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   stream::AsyncScheduler scheduler(config);
@@ -265,49 +262,29 @@ int cmdBatch(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   const bool metricsOn = parseOnOff(args, "metrics", traceOn);
   obs::ScopedTracingEnabled tracingScope(traceOn || obs::tracingEnabled());
   obs::ScopedMetricsEnabled metricsScope(metricsOn || obs::metricsEnabled());
-  const service::ServiceConfig config = serviceConfigFromArgs(args);
+  const stream::StreamConfig config = streamConfigFromArgs(args);
   const bool json = args.has("json");  // stream mode is JSONL regardless
 
   if (args.has("stream")) {
-    return runStreamMode(args, out, config.threads, repeat, config);
+    return runStreamMode(args, out, repeat, config);
   }
   std::vector<service::Request> requests = drainSource(*buildSource(args));
   args.assertConsumed();
 
-  // --repeat submits the same batch N times through one service: the first
+  // --repeat submits the same batch N times through one scheduler: the first
   // pass solves, later passes are served by the result cache. The table
   // shows the final pass; the summary aggregates every pass.
-  service::SchedulingService svc(config);
-  service::BatchResult batch = svc.solveBatch(requests);
-  service::BatchStats total = batch.stats;
+  stream::AsyncScheduler scheduler(config);
+  stream::BatchResult batch = stream::solveBatch(scheduler, requests);
+  stream::BatchStats total = batch.stats;
   for (std::size_t r = 1; r < repeat; ++r) {
-    batch = svc.solveBatch(requests);
-    total.requests += batch.stats.requests;
-    total.solved += batch.stats.solved;
-    total.failed += batch.stats.failed;
-    total.cacheHits += batch.stats.cacheHits;
-    total.deduped += batch.stats.deduped;
-    total.subHits += batch.stats.subHits;
-    total.subUnitsReused += batch.stats.subUnitsReused;
-    total.wallSeconds += batch.stats.wallSeconds;
-    for (const service::MemberBatchStats& m : batch.stats.members) {
-      auto it = std::find_if(total.members.begin(), total.members.end(),
-                             [&](const service::MemberBatchStats& t) {
-                               return t.solver == m.solver;
-                             });
-      if (it == total.members.end()) {
-        total.members.push_back(m);
-      } else {
-        it->merge(m);
-      }
-    }
+    batch = stream::solveBatch(scheduler, requests);
+    total.merge(batch.stats);
   }
-  total.requestsPerSecond =
-      total.wallSeconds > 0 ? static_cast<double>(total.requests) / total.wallSeconds : 0;
   const std::size_t failedFinalPass = batch.stats.failed;
   batch.stats = total;
-  const service::CacheStats cache = svc.cacheStats();
-  const service::CacheStats sub = svc.subCacheStats();
+  const service::CacheStats cache = scheduler.cacheStats();
+  const service::CacheStats sub = scheduler.subCacheStats();
 
   // Outcomes carry their fingerprints — no per-request display hashing.
   if (json) {

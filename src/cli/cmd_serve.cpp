@@ -220,10 +220,7 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
       args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
   defaults.deadlineMs = deadlineDefaultFromArgs(args);
 
-  stream::StreamConfig config;
-  config.service = serviceConfigFromArgs(args);
-  config.workers = config.service.threads;  // cross-request parallelism...
-  config.service.threads = 0;               // ...within-request stays serial
+  stream::StreamConfig config = streamConfigFromArgs(args);
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   std::unique_ptr<std::ifstream> file;
@@ -357,12 +354,10 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
       args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
   defaults.deadlineMs = deadlineDefaultFromArgs(args);
 
-  stream::StreamConfig config;
-  config.service = serviceConfigFromArgs(args);
+  stream::StreamConfig config = streamConfigFromArgs(args);
   // Solves must run off the event loop: at least one worker even under
-  // --serial (within-request solving stays serial either way).
-  config.workers = std::max<std::size_t>(1, config.service.threads);
-  config.service.threads = 0;
+  // --serial.
+  config.workers = std::max<std::size_t>(1, config.workers);
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   net::HttpServerConfig serverConfig;

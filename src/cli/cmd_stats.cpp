@@ -13,6 +13,7 @@
 #include "pipesched/io/json.hpp"
 #include "pipesched/obs/exposition.hpp"
 #include "pipesched/obs/metrics.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/stream/source.hpp"
 
 namespace pipesched::cli::detail {
@@ -38,7 +39,7 @@ int cmdStats(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   service::CacheStats cache;
   service::CacheStats sub;
   if (const auto path = args.get("input")) {
-    const service::ServiceConfig config = serviceConfigFromArgs(args);
+    const stream::StreamConfig config = streamConfigFromArgs(args);
     stream::JsonlDefaults defaults;
     defaults.sweep =
         service::SweepSpec{args.getSize("points", 24), args.getReal("range", 3)};
@@ -51,12 +52,12 @@ int cmdStats(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
     while (std::optional<service::Request> request = source.next()) {
       batch.push_back(std::move(*request));
     }
-    service::SchedulingService svc(config);
-    const service::BatchResult result = svc.solveBatch(batch);
+    stream::AsyncScheduler scheduler(config);
+    const stream::BatchResult result = stream::solveBatch(scheduler, batch);
     requests = result.stats.requests;
     failed = result.stats.failed;
-    cache = svc.cacheStats();
-    sub = svc.subCacheStats();
+    cache = scheduler.cacheStats();
+    sub = scheduler.subCacheStats();
     ranService = true;
   }
   args.assertConsumed();

@@ -4,7 +4,7 @@
 #include <memory>
 #include <thread>
 
-#include "pipesched/runtime/bounded_queue.hpp"
+#include "pipesched/stream/channel.hpp"
 
 namespace pipesched::runtime {
 
@@ -48,9 +48,9 @@ ExecReport executeMapping(const core::Evaluator& eval, const core::IntervalMappi
 
   // Queues between workers; queue[j] feeds worker j (worker 0 self-feeds from
   // the source loop), queue[m] is the sink.
-  std::vector<std::unique_ptr<BoundedQueue<Token>>> queues;
+  std::vector<std::unique_ptr<stream::BoundedChannel<Token>>> queues;
   for (std::size_t q = 0; q <= m; ++q) {
-    queues.push_back(std::make_unique<BoundedQueue<Token>>(config.queueCapacity));
+    queues.push_back(std::make_unique<stream::BoundedChannel<Token>>(config.queueCapacity));
   }
 
   const auto start = Clock::now();

@@ -1,11 +1,9 @@
 #include "pipesched/service/service.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "pipesched/fault/fault.hpp"
@@ -17,22 +15,6 @@ namespace pipesched::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Folds one fresh solve's contributions into the batch's per-member rows
-/// (first-seen order — deterministic because solves are folded in input
-/// order and members race in fixed catalog order).
-void accumulateMemberStats(std::vector<MemberBatchStats>& members,
-                           const std::vector<SolverContribution>& solvers) {
-  for (const SolverContribution& c : solvers) {
-    auto it = std::find_if(members.begin(), members.end(),
-                           [&](const MemberBatchStats& m) { return m.solver == c.solver; });
-    if (it == members.end()) {
-      members.push_back(MemberBatchStats{c.solver});
-      it = std::prev(members.end());
-    }
-    it->add(c);
-  }
-}
 
 /// Adds a fresh solve's stage timings and per-member walls to `trace`.
 /// Cache hits never come through here: a hit repeats a prior solve's result,
@@ -69,22 +51,21 @@ void countOutcome(const RequestOutcome& outcome) {
 SchedulingService::SchedulingService(ServiceConfig config)
     : config_(config),
       cache_(config.cacheCapacity, config.cacheShards),
-      subCache_(config.shareSubResults ? config.subCacheCapacity : 0, config.subCacheShards),
-      pool_(config.threads) {}
+      subCache_(config.shareSubResults ? config.subCacheCapacity : 0, config.subCacheShards) {}
 
-RequestOutcome SchedulingService::solveUncached(const Request& request, ThreadPool* pool) {
+RequestOutcome SchedulingService::solveUncached(const Request& request) {
   RequestOutcome outcome;
   try {
     const core::Evaluator eval(request.pipeline, request.platform, request.model);
     // Cross-request work sharing: bind this solve to the sub-result cache
     // under the instance's sweep-independent identity. Safe under one fixed
-    // portfolio config (this service's), whatever the pool interleaving —
-    // memoized units are pure functions of their keys.
+    // portfolio config (this service's), whatever the interleaving of
+    // concurrent solves — memoized units are pure functions of their keys.
     std::optional<SubShare> share;
     if (subCache_.capacity() > 0) {
       share.emplace(&subCache_, instanceFingerprint(request));
     }
-    outcome.result = runPortfolio(eval, request.sweep, config_.portfolio, pool,
+    outcome.result = runPortfolio(eval, request.sweep, config_.portfolio,
                                   share ? &*share : nullptr, request.deadline);
     outcome.ok = true;
   } catch (const std::exception& e) {
@@ -92,9 +73,8 @@ RequestOutcome SchedulingService::solveUncached(const Request& request, ThreadPo
     outcome.error = e.what();
   } catch (...) {
     // A non-std exception from a solver must still land in the outcome slot:
-    // letting it fly through a pool task's future would eventually surface as
-    // an opaque rethrow (or std::terminate in a detached context), sinking
-    // the whole batch for one bad request.
+    // letting it escape a stream worker would sink every request behind it
+    // for one bad request.
     outcome.ok = false;
     outcome.error = "unknown exception while solving";
   }
@@ -111,18 +91,6 @@ RequestOutcome SchedulingService::solve(const Request& request) {
   obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, &trace);
   const RequestIdentity identity = requestIdentity(request);
   trace.totalSeconds += fingerprintSpan.stop();
-  return solve(request, identity, &trace);
-}
-
-RequestOutcome SchedulingService::solve(const Request& request,
-                                        const RequestIdentity& identity) {
-  if (!obs::tracingEnabled()) {
-    return solve(request, identity, nullptr);
-  }
-  // The identity walk happened outside; its cost is the caller's to report.
-  obs::RequestTrace trace;
-  trace.totalSeconds = request.parseSeconds;
-  if (request.parseSeconds > 0) trace.add(obs::Stage::kParse, request.parseSeconds);
   return solve(request, identity, &trace);
 }
 
@@ -151,7 +119,7 @@ RequestOutcome SchedulingService::solve(const Request& request,
     return outcome;
   }
   const Clock::time_point solveStart = trace != nullptr ? Clock::now() : Clock::time_point{};
-  RequestOutcome outcome = solveUncached(request, &pool_);
+  RequestOutcome outcome = solveUncached(request);
   outcome.fingerprint = identity.fp;
   // Degraded (deadline/failure-cut) fronts are partial by timing accident —
   // caching one would serve the truncation to every later identical request.
@@ -166,173 +134,6 @@ RequestOutcome SchedulingService::solve(const Request& request,
   }
   countOutcome(outcome);
   return outcome;
-}
-
-BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) {
-  const Clock::time_point start = Clock::now();
-
-  BatchResult batch;
-  batch.outcomes.resize(requests.size());
-  batch.stats.requests = requests.size();
-
-  const bool tracing = obs::tracingEnabled();
-
-  // Group identical requests: each canonical key is solved exactly once.
-  struct Group {
-    Fingerprint fp;
-    std::vector<std::size_t> indices;  // input slots sharing this key
-    obs::RequestTrace trace;           // assembled only when tracing
-  };
-  std::unordered_map<std::string, Group> groups;
-  std::vector<const std::string*> keyOrder;  // deterministic iteration order
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint);
-    RequestIdentity identity = requestIdentity(requests[i]);  // one walk: key + hash
-    const double fingerprintSeconds = fingerprintSpan.stop();
-    auto [it, inserted] = groups.try_emplace(std::move(identity.key));
-    if (inserted) {
-      it->second.fp = identity.fp;
-      keyOrder.push_back(&it->first);
-      if (tracing) {
-        // The group's trace describes the representative slot's journey; a
-        // duplicate slot shares it (like the result it shares).
-        obs::RequestTrace& trace = it->second.trace;
-        const double parse = requests[i].parseSeconds;
-        if (parse > 0) trace.add(obs::Stage::kParse, parse);
-        trace.add(obs::Stage::kFingerprint, fingerprintSeconds);
-        trace.totalSeconds = parse + fingerprintSeconds;
-      }
-    }
-    it->second.indices.push_back(i);
-  }
-
-  // Resolve cache hits up front; solve the misses with one pool task per
-  // unique request (within-request solving stays serial in its worker — a
-  // task blocking on sub-tasks could deadlock a saturated pool).
-  struct Miss {
-    const std::string* key;  // stable pointer into `groups`
-    Group* group;            // non-const: the accounting loop moves its trace out
-  };
-  std::vector<Miss> misses;
-  std::vector<RequestOutcome> missOutcomes;
-  for (const std::string* key : keyOrder) {
-    Group& group = groups.at(*key);
-    obs::TraceSpan lookupSpan(obs::Stage::kCacheLookup, tracing ? &group.trace : nullptr);
-    std::optional<PortfolioResult> cached;
-    if (!fault::injected(fault::sites::kCacheGet)) {
-      cached = cache_.get(group.fp, *key);
-    }
-    const double lookupSeconds = lookupSpan.stop();
-    if (tracing) group.trace.totalSeconds += lookupSeconds;
-    if (cached) {
-      RequestOutcome outcome;
-      outcome.ok = true;
-      outcome.result = std::move(*cached);
-      outcome.fromCache = true;
-      outcome.fingerprint = group.fp;
-      if (tracing) {
-        outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(group.trace));
-      }
-      batch.outcomes[group.indices.front()] = std::move(outcome);
-      batch.stats.cacheHits += 1;
-    } else {
-      misses.push_back(Miss{key, &group});
-    }
-  }
-  missOutcomes.resize(misses.size());
-  // Per-miss solve wall, measured inside each task (only read when tracing:
-  // it feeds totalSeconds, whose invariant is stages sum <= total).
-  std::vector<double> missSolveSeconds(misses.size(), 0.0);
-  {
-    std::vector<std::future<void>> futures;
-    futures.reserve(misses.size());
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const Request* request = &requests[misses[m].group->indices.front()];
-      RequestOutcome* out = &missOutcomes[m];
-      double* solveSeconds = &missSolveSeconds[m];
-      futures.push_back(pool_.submit([this, request, out, solveSeconds, tracing] {
-        const Clock::time_point solveStart = tracing ? Clock::now() : Clock::time_point{};
-        *out = solveUncached(*request, nullptr);
-        if (tracing) {
-          *solveSeconds = std::chrono::duration<double>(Clock::now() - solveStart).count();
-        }
-      }));
-    }
-    // Join every task before any unwind: they write through pointers into
-    // missOutcomes/requests, which must outlive all of them.
-    std::exception_ptr firstError;
-    for (auto& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!firstError) firstError = std::current_exception();
-      }
-    }
-    if (firstError) std::rethrow_exception(firstError);
-  }
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    Group& group = *misses[m].group;
-    RequestOutcome& out = missOutcomes[m];
-    out.fingerprint = group.fp;
-    if (tracing) {
-      group.trace.totalSeconds += missSolveSeconds[m];
-      if (out.ok) addSolveStages(group.trace, out.result);
-      out.trace = std::make_shared<const obs::RequestTrace>(std::move(group.trace));
-    }
-    if (out.ok) {
-      if (!out.result.degraded && !fault::injected(fault::sites::kCachePut)) {
-        cache_.put(group.fp, *misses[m].key, out.result);
-      }
-      batch.stats.solved += 1;
-      accumulateMemberStats(batch.stats.members, out.result.solvers);
-      for (const SolverContribution& c : out.result.solvers) {
-        batch.stats.subHits += c.reused + c.seeded;
-        batch.stats.subUnitsReused += c.reused;
-      }
-    }
-    batch.outcomes[group.indices.front()] = std::move(out);
-  }
-
-  // Fan each group's outcome out to its duplicate slots. Every slot lands in
-  // exactly one stats bucket: duplicates of a *failed* group count under
-  // `failed` below, not under `deduped`, so the buckets sum to `requests`.
-  for (const std::string* key : keyOrder) {
-    const Group& group = groups.at(*key);
-    const RequestOutcome& first = batch.outcomes[group.indices.front()];
-    for (std::size_t d = 1; d < group.indices.size(); ++d) {
-      RequestOutcome copy = first;
-      copy.deduped = true;
-      batch.outcomes[group.indices[d]] = std::move(copy);
-      if (first.ok) batch.stats.deduped += 1;
-    }
-  }
-
-  std::size_t degradedResponses = 0;
-  for (const RequestOutcome& outcome : batch.outcomes) {
-    if (!outcome.ok) {
-      batch.stats.failed += 1;
-    } else if (outcome.result.degraded) {
-      degradedResponses += 1;
-    }
-  }
-  batch.stats.wallSeconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (batch.stats.wallSeconds > 0) {
-    batch.stats.requestsPerSecond =
-        static_cast<double>(batch.stats.requests) / batch.stats.wallSeconds;
-  }
-  if (obs::metricsEnabled()) {
-    static obs::Counter& solved = obs::registry().counter(obs::names::kRequestsSolved);
-    static obs::Counter& cacheHits = obs::registry().counter(obs::names::kRequestsCacheHit);
-    static obs::Counter& failed = obs::registry().counter(obs::names::kRequestsFailed);
-    solved.add(batch.stats.solved);
-    cacheHits.add(batch.stats.cacheHits);
-    failed.add(batch.stats.failed);
-    if (degradedResponses > 0) {
-      obs::registry().counter(obs::names::kDegradedResponses).add(degradedResponses);
-    }
-  }
-  return batch;
 }
 
 std::string describeOutcome(const RequestOutcome& outcome) {
@@ -352,7 +153,7 @@ std::string describeOutcome(const RequestOutcome& outcome) {
   for (const SolverContribution& c : r.solvers) {
     os << c.solver << ':' << c.points << (c.completed ? "" : "!");
     // Drop-policy skips are part of the deterministic result (identical
-    // serial vs pooled), so they belong in the canonical rendering too.
+    // whatever the worker count), so they belong in the canonical rendering.
     if (c.skipped > 0) os << '~' << c.skipped;
     os << '\n';
   }

@@ -26,6 +26,10 @@ service::RequestOutcome timeoutOutcome(const service::Fingerprint& fp, const cha
 
 }  // namespace
 
+std::size_t defaultWorkerCount() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 AsyncScheduler::AsyncScheduler(StreamConfig config)
     : config_(std::move(config)),
       service_(config_.service),
@@ -40,8 +44,7 @@ AsyncScheduler::~AsyncScheduler() { close(); }
 
 service::RequestOutcome AsyncScheduler::solveOne(const Job& job, obs::RequestTrace* trace) {
   // Never let an exception escape into a worker: a throwing solve (or
-  // override) becomes a failed outcome, exactly like solveBatch's per-slot
-  // error isolation.
+  // override) becomes a failed outcome of this request only.
   service::RequestOutcome outcome;
   try {
     if (config_.solveOverride) {

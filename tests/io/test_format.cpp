@@ -89,6 +89,11 @@ struct BadCase {
   const char* needle;  ///< substring expected in the error message
 };
 
+// Without this gtest prints the raw object bytes, i.e. three string
+// addresses that move with every load of the binary, and the test names
+// discovered by ctest (which carry the printed parameter) differ per build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class InstanceFormatErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(InstanceFormatErrors, ReportsTheProblem) {

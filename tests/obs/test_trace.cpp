@@ -13,6 +13,7 @@
 #include "pipesched/obs/trace.hpp"
 #include "pipesched/service/service.hpp"
 #include "pipesched/stream/async_scheduler.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::obs {
@@ -159,10 +160,10 @@ TEST(ServiceTrace, BatchAttachesTracesToEveryOutcome) {
   requests.push_back(makeRequest(4));
   requests.push_back(makeRequest(5));
   requests.push_back(makeRequest(4));  // duplicate: deduped, shares the trace
-  service::ServiceConfig config;
-  config.threads = 2;
-  service::SchedulingService svc(config);
-  const service::BatchResult batch = svc.solveBatch(requests);
+  stream::StreamConfig config;
+  config.workers = 2;
+  stream::AsyncScheduler svc(config);
+  const stream::BatchResult batch = stream::solveBatch(svc, requests);
   ASSERT_EQ(batch.stats.failed, 0u);
   for (const service::RequestOutcome& outcome : batch.outcomes) {
     ASSERT_NE(outcome.trace, nullptr);

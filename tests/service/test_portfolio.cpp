@@ -1,5 +1,6 @@
-// Portfolio solver: pooled == serial, heuristic-study consistency, exact
-// membership on small instances, budget degradation.
+// Portfolio solver: concurrent runs (the shape stream workers produce) ==
+// serial run, heuristic-study consistency, exact membership on small
+// instances, budget degradation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -31,18 +32,29 @@ void expectSameFront(const std::vector<core::ParetoPoint>& a,
   }
 }
 
+/// Runs `run` on `count` threads at once — the shape stream workers put on
+/// runPortfolio — and returns every result.
+template <typename Run>
+std::vector<PortfolioResult> concurrently(std::size_t count, const Run& run) {
+  std::vector<PortfolioResult> results(count);
+  std::vector<std::thread> threads;
+  for (PortfolioResult& result : results) threads.emplace_back([&] { result = run(); });
+  for (std::thread& thread : threads) thread.join();
+  return results;
+}
+
 TEST(Portfolio, PooledRunEqualsSerialRun) {
   const auto inst = instanceFor(workload::ExperimentKind::kE2BalancedHetComm, 12, 8, 7);
   const core::Evaluator eval(inst.pipeline, inst.platform);
   const SweepSpec sweep{12, 3};
   const PortfolioResult serial = runPortfolio(eval, sweep);
-  ThreadPool pool(4);
-  const PortfolioResult pooled = runPortfolio(eval, sweep, PortfolioConfig{}, &pool);
-  expectSameFront(serial.front, pooled.front);
-  ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
-  for (std::size_t i = 0; i < serial.solvers.size(); ++i) {
-    EXPECT_EQ(serial.solvers[i].solver, pooled.solvers[i].solver);
-    EXPECT_EQ(serial.solvers[i].points, pooled.solvers[i].points);
+  for (const PortfolioResult& pooled : concurrently(4, [&] { return runPortfolio(eval, sweep); })) {
+    expectSameFront(serial.front, pooled.front);
+    ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
+    for (std::size_t i = 0; i < serial.solvers.size(); ++i) {
+      EXPECT_EQ(serial.solvers[i].solver, pooled.solvers[i].solver);
+      EXPECT_EQ(serial.solvers[i].points, pooled.solvers[i].points);
+    }
   }
 }
 
@@ -169,7 +181,7 @@ TEST(Portfolio, ExpiredRequestDeadlineYieldsExplicitlyDegradedResult) {
   Deadline expired = Deadline::in(0.01);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const PortfolioResult result =
-      runPortfolio(eval, SweepSpec{12, 3}, config, nullptr, nullptr, expired);
+      runPortfolio(eval, SweepSpec{12, 3}, config, nullptr, expired);
   // Every member was cut before starting: the cut is flagged, never silent.
   EXPECT_TRUE(result.degraded);
   EXPECT_TRUE(result.budgetExhausted);
@@ -186,7 +198,7 @@ TEST(Portfolio, UnboundedDeadlineChangesNothing) {
   config.useExact = false;
   const PortfolioResult plain = runPortfolio(eval, SweepSpec{6, 2}, config);
   const PortfolioResult withInactive =
-      runPortfolio(eval, SweepSpec{6, 2}, config, nullptr, nullptr, Deadline{});
+      runPortfolio(eval, SweepSpec{6, 2}, config, nullptr, Deadline{});
   EXPECT_FALSE(withInactive.degraded);
   EXPECT_FALSE(withInactive.budgetExhausted);
   expectSameFront(plain.front, withInactive.front);
@@ -237,11 +249,12 @@ TEST(Portfolio, MemberFaultInPooledRunIsContainedToo) {
   const core::Evaluator eval(inst.pipeline, inst.platform);
   PortfolioConfig config;
   config.useExact = false;
-  ThreadPool pool(4);
   fault::ScopedFaultSpec scope("member.H1");
-  const PortfolioResult result = runPortfolio(eval, SweepSpec{8, 3}, config, &pool);
-  EXPECT_TRUE(result.degraded);
-  EXPECT_FALSE(result.front.empty());
+  for (const PortfolioResult& result :
+       concurrently(4, [&] { return runPortfolio(eval, SweepSpec{8, 3}, config); })) {
+    EXPECT_TRUE(result.degraded);
+    EXPECT_FALSE(result.front.empty());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The pluggable-member registry: catalog integrity, id resolution, member
 // acceptance rules, back-compat of the default race, the committed
 // strict-improvement scenario, and per-member stats plumbing through
-// SchedulingService::solveBatch.
+// stream::solveBatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::service {
@@ -213,22 +214,22 @@ TEST(PortfolioMembers, BatchSurfacesPerMemberStats) {
                                core::CommModel::kSequential, SweepSpec{6, 3},
                                "m-" + std::to_string(seed)});
   }
-  ServiceConfig config;
-  config.portfolio.members = {"H1", "ls:H1", "c2c"};
-  SchedulingService svc(config);
-  const BatchResult batch = svc.solveBatch(requests);
+  stream::StreamConfig config;
+  config.service.portfolio.members = {"H1", "ls:H1", "c2c"};
+  stream::AsyncScheduler svc(config);
+  const stream::BatchResult batch = stream::solveBatch(svc, requests);
   ASSERT_EQ(batch.stats.solved, 3u);
   ASSERT_EQ(batch.stats.members.size(), 3u);
   EXPECT_EQ(batch.stats.members[0].solver, "H1-SpMonoP");
   EXPECT_EQ(batch.stats.members[1].solver, "ls:H1");
   EXPECT_EQ(batch.stats.members[2].solver, "c2c-dp");
-  for (const MemberBatchStats& m : batch.stats.members) {
+  for (const stream::MemberBatchStats& m : batch.stats.members) {
     EXPECT_EQ(m.runs, 3u) << m.solver;
     EXPECT_GT(m.points, 0u) << m.solver;
   }
 
   // A warm re-run is pure cache traffic: member stats stay at zero.
-  const BatchResult warm = svc.solveBatch(requests);
+  const stream::BatchResult warm = stream::solveBatch(svc, requests);
   EXPECT_EQ(warm.stats.cacheHits, 3u);
   EXPECT_TRUE(warm.stats.members.empty());
 }
@@ -242,18 +243,18 @@ TEST(PortfolioMembers, BatchMemberStatsIdenticalSerialVsPooled) {
                                core::CommModel::kSequential, SweepSpec{6, 3},
                                "p-" + std::to_string(seed)});
   }
-  const auto statsAt = [&](std::size_t threads) {
-    ServiceConfig config;
-    config.threads = threads;
-    config.cacheCapacity = 0;
-    config.portfolio.members = allPortfolioMembers();
-    config.portfolio.annealingMoves = 200;
-    config.portfolio.dropAfter = 2;
-    SchedulingService svc(config);
-    return svc.solveBatch(requests).stats.members;
+  const auto statsAt = [&](std::size_t workers) {
+    stream::StreamConfig config;
+    config.workers = workers;
+    config.service.cacheCapacity = 0;
+    config.service.portfolio.members = allPortfolioMembers();
+    config.service.portfolio.annealingMoves = 200;
+    config.service.portfolio.dropAfter = 2;
+    stream::AsyncScheduler svc(config);
+    return stream::solveBatch(svc, requests).stats.members;
   };
-  const std::vector<MemberBatchStats> serial = statsAt(0);
-  const std::vector<MemberBatchStats> pooled = statsAt(4);
+  const std::vector<stream::MemberBatchStats> serial = statsAt(0);
+  const std::vector<stream::MemberBatchStats> pooled = statsAt(4);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].solver, pooled[i].solver);
@@ -279,8 +280,7 @@ TEST(PortfolioMembers, OverlappedCommModelRunsTheWideRaceDeterministically) {
     return describeOutcome(o);
   };
   const std::string serial = renderOf(runPortfolio(eval, SweepSpec{5, 2}, config));
-  ThreadPool pool(4);
-  EXPECT_EQ(serial, renderOf(runPortfolio(eval, SweepSpec{5, 2}, config, &pool)));
+  EXPECT_EQ(serial, renderOf(runPortfolio(eval, SweepSpec{5, 2}, config)));
 }
 
 TEST(PortfolioMembers, DropAfterZeroNeverDropsEvenOnLongPlateaus) {

@@ -1,7 +1,8 @@
 // Differential / property harness for the pluggable portfolio (ISSUE 3):
 // on a seeded suite of randomized instances,
-//   * the merged front is byte-identical serial vs pooled (2 and 8 workers)
-//     and across repeated runs, with and without budget-aware dropping;
+//   * the merged front is byte-identical serial vs pooled (2 and 8 runs at
+//     once on separate threads, as stream workers run them) and across
+//     repeated runs, with and without budget-aware dropping;
 //   * the widened portfolio (refiners + c2c members) dominates-or-equals the
 //     H1..H6-only front point for point;
 //   * on exact-eligible small instances the merged front equals the
@@ -9,12 +10,15 @@
 //   * refiner members never emit a point dominated by their seed heuristic's
 //     point at the same threshold, across both objective families;
 //   * the set of dropped (member, unit) pairs is identical serial vs pooled,
-//     and dropping never removes a point from the final front.
+//     and dropping never removes a point from the final front;
+//   * batches through stream::solveBatch are byte-identical across worker
+//     counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pipesched/core/pareto.hpp"
@@ -22,6 +26,7 @@
 #include "pipesched/exp/pareto_study.hpp"
 #include "pipesched/heuristics/registry.hpp"
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::service {
@@ -59,6 +64,19 @@ PortfolioConfig wideConfig(std::size_t dropAfter = 0) {
 
 const SweepSpec kSweep{5, Real(2.5)};
 
+/// `count` runs of the same portfolio at once, one thread each — the shape
+/// stream workers put on runPortfolio.
+std::vector<PortfolioResult> concurrentRuns(std::size_t count, const core::Evaluator& eval,
+                                            const PortfolioConfig& config) {
+  std::vector<PortfolioResult> results(count);
+  std::vector<std::thread> threads;
+  for (PortfolioResult& result : results) {
+    threads.emplace_back([&] { result = runPortfolio(eval, kSweep, config); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return results;
+}
+
 void expectByteIdenticalAcrossWorkers(std::size_t dropAfter) {
   const PortfolioConfig config = wideConfig(dropAfter);
   for (std::size_t i = 0; i < 25; ++i) {
@@ -66,9 +84,9 @@ void expectByteIdenticalAcrossWorkers(std::size_t dropAfter) {
     const core::Evaluator eval(inst.pipeline, inst.platform);
     const std::string serial = render(runPortfolio(eval, kSweep, config));
     for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-      ThreadPool pool(workers);
-      const std::string pooled = render(runPortfolio(eval, kSweep, config, &pool));
-      EXPECT_EQ(serial, pooled) << "instance " << i << ", " << workers << " workers";
+      for (const PortfolioResult& pooled : concurrentRuns(workers, eval, config)) {
+        EXPECT_EQ(serial, render(pooled)) << "instance " << i << ", " << workers << " workers";
+      }
     }
   }
 }
@@ -205,14 +223,16 @@ TEST(PortfolioProperties, DropDecisionsIdenticalSerialVsPooled) {
     const workload::InstancePair inst = suiteInstance(i);
     const core::Evaluator eval(inst.pipeline, inst.platform);
     const PortfolioResult serial = runPortfolio(eval, kSweep, config);
-    ThreadPool pool(8);
-    const PortfolioResult pooled = runPortfolio(eval, kSweep, config, &pool);
-    ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
-    for (std::size_t s = 0; s < serial.solvers.size(); ++s) {
-      EXPECT_EQ(serial.solvers[s].solver, pooled.solvers[s].solver);
-      EXPECT_EQ(serial.solvers[s].dropped, pooled.solvers[s].dropped) << serial.solvers[s].solver;
-      EXPECT_EQ(serial.solvers[s].skipped, pooled.solvers[s].skipped) << serial.solvers[s].solver;
-      EXPECT_EQ(serial.solvers[s].units, pooled.solvers[s].units) << serial.solvers[s].solver;
+    for (const PortfolioResult& pooled : concurrentRuns(8, eval, config)) {
+      ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
+      for (std::size_t s = 0; s < serial.solvers.size(); ++s) {
+        EXPECT_EQ(serial.solvers[s].solver, pooled.solvers[s].solver);
+        EXPECT_EQ(serial.solvers[s].dropped, pooled.solvers[s].dropped)
+            << serial.solvers[s].solver;
+        EXPECT_EQ(serial.solvers[s].skipped, pooled.solvers[s].skipped)
+            << serial.solvers[s].solver;
+        EXPECT_EQ(serial.solvers[s].units, pooled.solvers[s].units) << serial.solvers[s].solver;
+      }
     }
   }
 }
@@ -258,8 +278,8 @@ TEST(PortfolioProperties, DroppingIsReportedInContributions) {
 }
 
 TEST(PortfolioProperties, ServiceBatchIsByteIdenticalAcrossThreadCountsWithWideMembers) {
-  // End-to-end: the same widened+dropping portfolio through SchedulingService
-  // at 0 (serial), 2 and 8 pool threads — outcome-for-outcome byte identity.
+  // End-to-end: the same widened+dropping portfolio through stream::solveBatch
+  // at 0 (serial), 2 and 8 workers — outcome-for-outcome byte identity.
   std::vector<Request> requests;
   for (std::size_t i = 0; i < 8; ++i) {
     workload::InstancePair inst = suiteInstance(i);
@@ -267,13 +287,13 @@ TEST(PortfolioProperties, ServiceBatchIsByteIdenticalAcrossThreadCountsWithWideM
                                core::CommModel::kSequential, kSweep,
                                "prop-" + std::to_string(i)});
   }
-  const auto runAt = [&](std::size_t threads) {
-    ServiceConfig config;
-    config.threads = threads;
-    config.cacheCapacity = 0;
-    config.portfolio = wideConfig(/*dropAfter=*/2);
-    SchedulingService svc(config);
-    const BatchResult batch = svc.solveBatch(requests);
+  const auto runAt = [&](std::size_t workers) {
+    stream::StreamConfig config;
+    config.workers = workers;
+    config.service.cacheCapacity = 0;
+    config.service.portfolio = wideConfig(/*dropAfter=*/2);
+    stream::AsyncScheduler svc(config);
+    const stream::BatchResult batch = stream::solveBatch(svc, requests);
     std::string rendered;
     for (const RequestOutcome& outcome : batch.outcomes) rendered += describeOutcome(outcome);
     return rendered;

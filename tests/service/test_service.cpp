@@ -1,20 +1,33 @@
-// SchedulingService: batch outcomes are byte-identical to serial
-// per-request runs across scenarios and generated suites, cache hits return
-// the same fronts as cold runs, dedupe shares work, and failures degrade
+// The scheduling service and its batch entry point (stream::solveBatch): batch
+// outcomes are byte-identical across worker counts, cache hits return the
+// same fronts as cold runs, dedupe shares work, and failures degrade
 // gracefully.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pipesched/fault/fault.hpp"
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 #include "pipesched/workload/scenarios.hpp"
 
 namespace pipesched::service {
 namespace {
+
+using stream::AsyncScheduler;
+using stream::BatchResult;
+
+/// A scheduler configuration: `workers` workers over `serviceConfig`.
+stream::StreamConfig schedulerConfig(std::size_t workers, ServiceConfig serviceConfig = {}) {
+  stream::StreamConfig config;
+  config.workers = workers;
+  config.service = std::move(serviceConfig);
+  return config;
+}
 
 /// The named scenarios on the lab cluster plus one generated suite per
 /// experiment regime E1..E4 — the mix the acceptance criteria call out.
@@ -58,18 +71,15 @@ TEST(Service, BatchIsByteIdenticalToSerialAcrossScenariosAndSeeds) {
   for (const std::uint64_t seed : {1ull, 42ull}) {
     const std::vector<Request> requests = mixedRequests(2, seed);
 
-    // Serial reference: zero threads, no cache — every request solved inline
+    // Serial reference: zero workers, no cache — every request solved inline
     // in input order.
     ServiceConfig serialConfig;
-    serialConfig.threads = 0;
     serialConfig.cacheCapacity = 0;
-    SchedulingService serial(serialConfig);
-    const BatchResult serialBatch = serial.solveBatch(requests);
+    AsyncScheduler serial(schedulerConfig(0, serialConfig));
+    const BatchResult serialBatch = stream::solveBatch(serial, requests);
 
-    ServiceConfig pooledConfig;
-    pooledConfig.threads = 4;
-    SchedulingService pooled(pooledConfig);
-    const BatchResult pooledBatch = pooled.solveBatch(requests);
+    AsyncScheduler pooled(schedulerConfig(4));
+    const BatchResult pooledBatch = stream::solveBatch(pooled, requests);
 
     EXPECT_EQ(renderBatch(serialBatch), renderBatch(pooledBatch)) << "seed " << seed;
     EXPECT_EQ(serialBatch.stats.failed, 0u);
@@ -78,15 +88,13 @@ TEST(Service, BatchIsByteIdenticalToSerialAcrossScenariosAndSeeds) {
 
 TEST(Service, CacheHitsReturnTheSameFrontsAsColdRuns) {
   const std::vector<Request> requests = mixedRequests(1, 7);
-  ServiceConfig config;
-  config.threads = 2;
-  SchedulingService svc(config);
+  AsyncScheduler svc(schedulerConfig(2));
 
-  const BatchResult cold = svc.solveBatch(requests);
+  const BatchResult cold = stream::solveBatch(svc, requests);
   ASSERT_EQ(cold.stats.failed, 0u);
   EXPECT_EQ(cold.stats.cacheHits, 0u);
 
-  const BatchResult warm = svc.solveBatch(requests);
+  const BatchResult warm = stream::solveBatch(svc, requests);
   EXPECT_EQ(warm.stats.cacheHits + warm.stats.deduped, warm.stats.requests);
   EXPECT_EQ(warm.stats.solved, 0u);
 
@@ -114,10 +122,9 @@ TEST(Service, IdenticalRequestsDedupeWithinOneBatch) {
   }
 
   ServiceConfig config;
-  config.threads = 2;
   config.cacheCapacity = 0;  // isolate in-batch dedupe from the cache
-  SchedulingService svc(config);
-  const BatchResult batch = svc.solveBatch(requests);
+  AsyncScheduler svc(schedulerConfig(2, config));
+  const BatchResult batch = stream::solveBatch(svc, requests);
 
   EXPECT_EQ(batch.stats.requests, 2 * base);
   EXPECT_EQ(batch.stats.solved, base);
@@ -137,7 +144,7 @@ TEST(Service, IdenticalRequestsDedupeWithinOneBatch) {
 
 TEST(Service, SolveUsesTheCache) {
   const std::vector<Request> requests = mixedRequests(1, 5);
-  SchedulingService svc(ServiceConfig{.threads = 2});
+  SchedulingService svc;
   const RequestOutcome cold = svc.solve(requests.front());
   ASSERT_TRUE(cold.ok);
   EXPECT_FALSE(cold.fromCache);
@@ -152,10 +159,8 @@ TEST(Service, SolveUsesTheCache) {
 TEST(Service, MalformedRequestFailsItsSlotOnly) {
   std::vector<Request> requests = mixedRequests(1, 9);
   requests[1].sweep.points = 0;  // runPortfolio rejects this
-  ServiceConfig config;
-  config.threads = 2;
-  SchedulingService svc(config);
-  const BatchResult batch = svc.solveBatch(requests);
+  AsyncScheduler svc(schedulerConfig(2));
+  const BatchResult batch = stream::solveBatch(svc, requests);
   EXPECT_EQ(batch.stats.failed, 1u);
   EXPECT_FALSE(batch.outcomes[1].ok);
   EXPECT_FALSE(batch.outcomes[1].error.empty());
@@ -167,11 +172,10 @@ TEST(Service, MalformedRequestFailsItsSlotOnly) {
 
 TEST(Service, BudgetExhaustionDegradesGracefullyThroughTheBatchApi) {
   ServiceConfig config;
-  config.threads = 2;
   config.portfolio.useExact = false;
   config.portfolio.budget.maxRunsPerSolver = 1;
-  SchedulingService svc(config);
-  const BatchResult batch = svc.solveBatch(mixedRequests(1, 2));
+  AsyncScheduler svc(schedulerConfig(2, config));
+  const BatchResult batch = stream::solveBatch(svc, mixedRequests(1, 2));
   EXPECT_EQ(batch.stats.failed, 0u);
   for (const RequestOutcome& outcome : batch.outcomes) {
     ASSERT_TRUE(outcome.ok);
@@ -182,8 +186,8 @@ TEST(Service, BudgetExhaustionDegradesGracefullyThroughTheBatchApi) {
 
 TEST(Service, StatsAccounting) {
   const std::vector<Request> requests = mixedRequests(1, 4);
-  SchedulingService svc(ServiceConfig{.threads = 2});
-  const BatchResult batch = svc.solveBatch(requests);
+  AsyncScheduler svc(schedulerConfig(2));
+  const BatchResult batch = stream::solveBatch(svc, requests);
   EXPECT_EQ(batch.stats.requests, requests.size());
   EXPECT_EQ(batch.stats.solved + batch.stats.cacheHits + batch.stats.deduped +
                 batch.stats.failed,
@@ -201,8 +205,8 @@ TEST(Service, StatsBucketsArePartitionEvenWithFailedDuplicates) {
   duplicate.name = "failed-twin";
   requests.push_back(std::move(duplicate));
 
-  SchedulingService svc(ServiceConfig{.threads = 2});
-  const BatchResult batch = svc.solveBatch(requests);
+  AsyncScheduler svc(schedulerConfig(2));
+  const BatchResult batch = stream::solveBatch(svc, requests);
   EXPECT_EQ(batch.stats.failed, 2u);
   EXPECT_EQ(batch.stats.deduped, 0u);
   EXPECT_TRUE(batch.outcomes.back().deduped);  // the flag still records sharing
@@ -218,7 +222,6 @@ TEST(Service, DegradedResultsAreNeverCached) {
   // healthy client would be a silent quality loss.
   const std::vector<Request> requests = mixedRequests(1, 17);
   ServiceConfig config;
-  config.threads = 2;
   config.portfolio.useExact = false;
   SchedulingService svc(config);
 
@@ -245,7 +248,6 @@ TEST(Service, DegradedResultsAreNeverCached) {
 TEST(Service, CacheFaultSitesBypassTheCacheWithoutFailingRequests) {
   const std::vector<Request> requests = mixedRequests(1, 19);
   ServiceConfig config;
-  config.threads = 2;
   config.portfolio.useExact = false;
   SchedulingService svc(config);
 
@@ -277,8 +279,8 @@ TEST(Service, OverlappedModelProducesItsOwnFronts) {
   Request overlapped = sequential;
   overlapped.model = core::CommModel::kOverlapped;
 
-  SchedulingService svc(ServiceConfig{.threads = 2});
-  const BatchResult batch = svc.solveBatch({sequential, overlapped});
+  AsyncScheduler svc(schedulerConfig(2));
+  const BatchResult batch = stream::solveBatch(svc, {sequential, overlapped});
   EXPECT_EQ(batch.stats.failed, 0u);
   EXPECT_EQ(batch.stats.deduped, 0u);  // different models must not dedupe
   EXPECT_EQ(batch.stats.solved, 2u);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/engine.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::service {
@@ -65,9 +66,8 @@ std::string renderAll(SchedulingService& svc, const std::vector<Request>& reques
   return rendered;
 }
 
-ServiceConfig sharedConfig(bool share, std::size_t threads = 0) {
+ServiceConfig sharedConfig(bool share) {
   ServiceConfig config;
-  config.threads = threads;
   config.cacheCapacity = 0;  // isolate the sub-result layer from whole hits
   config.shareSubResults = share;
   return config;
@@ -83,16 +83,16 @@ TEST(SubResultShare, FrontsByteIdenticalSharedVsColdSerial) {
 }
 
 TEST(SubResultShare, FrontsByteIdenticalSharedVsColdPooled) {
-  // Pooled: portfolio members race on the service pool while publishing and
-  // consuming sub-results concurrently; the batch path additionally solves
-  // different sweeps of the same instance in parallel.
+  // Pooled: the batch entry point solves different sweeps of the same instance on
+  // parallel workers, publishing and consuming sub-results concurrently.
   const std::vector<Request> workload = warmSweepWorkload(4, 5);
   SchedulingService cold(sharedConfig(false));
   const std::string reference = renderAll(cold, workload);
-  SchedulingService sharedPool(sharedConfig(true, 2));
-  EXPECT_EQ(renderAll(sharedPool, workload), reference);
-  SchedulingService sharedBatch(sharedConfig(true, 4));
-  const BatchResult batch = sharedBatch.solveBatch(workload);
+  stream::StreamConfig config;
+  config.workers = 4;
+  config.service = sharedConfig(true);
+  stream::AsyncScheduler sharedBatch(config);
+  const stream::BatchResult batch = stream::solveBatch(sharedBatch, workload);
   std::string batched;
   for (const RequestOutcome& outcome : batch.outcomes) batched += describeOutcome(outcome);
   EXPECT_EQ(batched, reference);
@@ -105,15 +105,18 @@ TEST(SubResultShare, WarmSweepReusesExactlyTheSharedThresholds) {
   // grid anchors.
   const Request narrow = requestFor(0, SweepSpec{5, 3});
   const Request wide = requestFor(0, SweepSpec{9, 3});
-  SchedulingService svc(sharedConfig(true));
-  const BatchResult coldPass = svc.solveBatch({narrow});
+  stream::StreamConfig config;
+  config.workers = 0;
+  config.service = sharedConfig(true);
+  stream::AsyncScheduler svc(config);
+  const stream::BatchResult coldPass = stream::solveBatch(svc, {narrow});
   EXPECT_EQ(coldPass.stats.subHits, 0u);
-  const BatchResult warmPass = svc.solveBatch({wide});
+  const stream::BatchResult warmPass = stream::solveBatch(svc, {wide});
   EXPECT_EQ(warmPass.stats.subUnitsReused, 6u * 5u);
   EXPECT_EQ(warmPass.stats.subHits, 6u * 5u + 6u);
   // Per-member accounting matches: each sweeping member reused 5 of 9 units.
   ASSERT_EQ(warmPass.stats.members.size(), 6u);
-  for (const MemberBatchStats& m : warmPass.stats.members) {
+  for (const stream::MemberBatchStats& m : warmPass.stats.members) {
     EXPECT_EQ(m.reused, 5u) << m.solver;
     EXPECT_EQ(m.seeded, 1u) << m.solver;  // the cached grid anchor
   }

@@ -63,6 +63,10 @@ TEST(AsyncScheduler, InlineModeSolvesInSubmit) {
   expectInvariant(stats);
 }
 
+TEST(AsyncScheduler, DefaultWorkerCountIsPositive) {
+  EXPECT_GE(defaultWorkerCount(), 1u);
+}
+
 TEST(AsyncScheduler, CallbackRunsWithTheOutcome) {
   StreamConfig config;
   config.workers = 1;
@@ -96,26 +100,28 @@ TEST(AsyncScheduler, MalformedRequestFailsItsFutureOnly) {
 }
 
 TEST(AsyncScheduler, ThrowingSolveBecomesAFailedOutcomeNotTerminate) {
-  StreamConfig config;
-  config.workers = 1;
-  config.solveOverride = [](const service::Request& request) -> service::RequestOutcome {
-    if (request.name == "req-7") throw std::runtime_error("solver exploded");
-    if (request.name == "req-8") throw 42;  // non-std exception
-    service::RequestOutcome ok;
-    ok.ok = true;
-    return ok;
-  };
-  AsyncScheduler scheduler(config);
-  const service::RequestOutcome first = scheduler.submit(makeRequest(7)).get();
-  EXPECT_FALSE(first.ok);
-  EXPECT_EQ(first.error, "solver exploded");
-  const service::RequestOutcome second = scheduler.submit(makeRequest(8)).get();
-  EXPECT_FALSE(second.ok);
-  EXPECT_EQ(second.error, "unknown exception while solving");
-  const service::RequestOutcome third = scheduler.submit(makeRequest(9)).get();
-  EXPECT_TRUE(third.ok);  // the worker thread survived both throws
-  scheduler.drain();
-  expectInvariant(scheduler.stats());
+  for (const std::size_t workers : {1, 0}) {  // a worker thread, then inline
+    StreamConfig config;
+    config.workers = workers;
+    config.solveOverride = [](const service::Request& request) -> service::RequestOutcome {
+      if (request.name == "req-7") throw std::runtime_error("solver exploded");
+      if (request.name == "req-8") throw 42;  // non-std exception
+      service::RequestOutcome ok;
+      ok.ok = true;
+      return ok;
+    };
+    AsyncScheduler scheduler(config);
+    const service::RequestOutcome first = scheduler.submit(makeRequest(7)).get();
+    EXPECT_FALSE(first.ok);
+    EXPECT_EQ(first.error, "solver exploded");
+    const service::RequestOutcome second = scheduler.submit(makeRequest(8)).get();
+    EXPECT_FALSE(second.ok);
+    EXPECT_EQ(second.error, "unknown exception while solving");
+    const service::RequestOutcome third = scheduler.submit(makeRequest(9)).get();
+    EXPECT_TRUE(third.ok);  // the worker thread survived both throws
+    scheduler.drain();
+    expectInvariant(scheduler.stats());
+  }
 }
 
 TEST(AsyncScheduler, ThrowingCallbackIsContainedAndCounted) {

@@ -81,6 +81,15 @@ TEST(BoundedChannel, CloseUnblocksConsumerWithNullopt) {
   EXPECT_FALSE(channel.push(7));  // push after close is refused
 }
 
+TEST(BoundedChannel, CloseDrainsThenSignalsEnd) {
+  BoundedChannel<int> channel(4);
+  ASSERT_TRUE(channel.push(7));
+  channel.close();
+  EXPECT_EQ(channel.pop(), 7);  // accepted values outlive the close
+  EXPECT_EQ(channel.pop(), std::nullopt);
+  EXPECT_FALSE(channel.push(8));
+}
+
 TEST(BoundedChannel, TryVariantsNeverBlock) {
   BoundedChannel<int> channel(1);
   EXPECT_FALSE(channel.tryPop().has_value());  // empty

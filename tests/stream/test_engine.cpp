@@ -1,7 +1,8 @@
-// The streaming engine end to end: stream-vs-batch byte-identity across
-// worker counts and queue capacities, strict input-order emission, the
-// bounded-memory window (instrumented at the Source/Sink seam), failure
-// pass-through, and cross-pass cache reuse.
+// The streaming engine end to end: byte-identity with serial per-request
+// solves across worker counts and queue capacities, strict input-order
+// emission, the bounded-memory window (instrumented at the Source/Sink
+// seam), failure pass-through, cross-pass cache reuse, and solveBatch's
+// in-batch dedupe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,13 +47,16 @@ std::vector<service::Request> mixedRequests(std::uint64_t seed, std::size_t poin
 TEST(StreamEngine, OutcomesAreByteIdenticalToSolveBatchAcrossConfigs) {
   const std::vector<service::Request> requests = mixedRequests(11);
 
-  // The batch reference: the serial solveBatch path.
+  // The reference: a per-request serial solve with the cache off, which
+  // shares nothing with the stream engine.
   service::ServiceConfig serialConfig;
-  serialConfig.threads = 0;
   serialConfig.cacheCapacity = 0;
   service::SchedulingService reference(serialConfig);
-  const service::BatchResult batch = reference.solveBatch(requests);
-  ASSERT_EQ(batch.stats.failed, 0u);
+  std::vector<service::RequestOutcome> expected;
+  for (const service::Request& request : requests) {
+    expected.push_back(reference.solve(request));
+    ASSERT_TRUE(expected.back().ok) << request.name;
+  }
 
   struct Config {
     std::size_t workers;
@@ -74,7 +78,7 @@ TEST(StreamEngine, OutcomesAreByteIdenticalToSolveBatchAcrossConfigs) {
     ASSERT_EQ(sink.items.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(service::describeOutcome(sink.items[i].outcome),
-                service::describeOutcome(batch.outcomes[i]))
+                service::describeOutcome(expected[i]))
           << "workers=" << cfg.workers << " capacity=" << cfg.queueCapacity << " slot " << i;
     }
   }
@@ -207,6 +211,45 @@ TEST(StreamEngine, SecondPassThroughTheSameSchedulerHitsTheCache) {
     EXPECT_EQ(service::describeOutcome(coldSink.items[i].outcome),
               service::describeOutcome(warmSink.items[i].outcome))
         << "slot " << i;
+  }
+}
+
+TEST(StreamEngine, SolveBatchMarksInBatchDuplicatesDedupedAtEveryWorkerCount) {
+  // Every request twice, the copies after the originals: each copy comes
+  // back deduped — not from the cache, not re-solved — whatever the worker
+  // count, with the result cache on or off.
+  const std::vector<service::Request> unique = mixedRequests(29, 4);
+  std::vector<service::Request> requests = unique;
+  requests.insert(requests.end(), unique.begin(), unique.end());
+  for (const std::size_t workers : {0, 2, 4}) {
+    for (const std::size_t cacheCapacity : {1024, 0}) {
+      StreamConfig config;
+      config.workers = workers;
+      config.service.cacheCapacity = cacheCapacity;
+      AsyncScheduler scheduler(config);
+      const BatchResult batch = solveBatch(scheduler, requests);
+      const BatchStats& s = batch.stats;
+      const std::string where =
+          "workers=" + std::to_string(workers) + " cache=" + std::to_string(cacheCapacity);
+      EXPECT_EQ(s.requests, requests.size()) << where;
+      EXPECT_EQ(s.solved, unique.size()) << where;
+      EXPECT_EQ(s.deduped, unique.size()) << where;
+      EXPECT_EQ(s.cacheHits, 0u) << where;
+      EXPECT_EQ(s.failed, 0u) << where;
+      EXPECT_EQ(s.solved + s.cacheHits + s.deduped + s.failed, s.requests) << where;
+      EXPECT_EQ(scheduler.stats().solved, unique.size()) << where;  // one solve per key
+      ASSERT_EQ(batch.outcomes.size(), requests.size()) << where;
+      for (std::size_t i = 0; i < unique.size(); ++i) {
+        const service::RequestOutcome& original = batch.outcomes[i];
+        const service::RequestOutcome& copy = batch.outcomes[unique.size() + i];
+        EXPECT_FALSE(original.deduped) << where << " slot " << i;
+        EXPECT_FALSE(original.fromCache) << where << " slot " << i;
+        EXPECT_TRUE(copy.deduped) << where << " slot " << i;
+        EXPECT_FALSE(copy.fromCache) << where << " slot " << i;
+        EXPECT_EQ(service::describeOutcome(original), service::describeOutcome(copy))
+            << where << " slot " << i;
+      }
+    }
   }
 }
 
